@@ -36,18 +36,20 @@ bench:
 # best-measured line per benchmark). Gated benchmarks whose single-shot
 # spread approaches their gate threshold run with -count so the
 # best-of-N line wins — the 2% tracer-nil pair gate in particular needs
-# the sub-30ms pair measured more than once. CI archives the file and
-# gates it against $(BENCH_BASE) via `make benchdiff`.
+# the sub-30ms pair measured more than once. Every pass runs with
+# -benchmem, so each entry records bytes_per_op and allocs_per_op. CI
+# archives the file and gates it against $(BENCH_BASE) via
+# `make benchdiff`.
 bench-json:
-	go test -bench . -benchtime 1x -run '^$$' ./... | tee bench.txt
-	go test -bench '(Mesh|Scenario).*Kernel' -benchtime 20000x -run '^$$' . | tee -a bench.txt
-	go test -bench 'MeshSparse(Gated|TracerNil)Kernel' -benchtime 20000x -count 6 -run '^$$' . | tee -a bench.txt
-	go test -bench 'FiniteWorkload|BEBurst' -benchtime 50x -run '^$$' . | tee -a bench.txt
-	go test -bench 'Pattern16|PatternSource' -benchtime 5x -run '^$$' . | tee -a bench.txt
-	go test -bench 'PatternSource' -benchtime 5x -count 6 -run '^$$' . | tee -a bench.txt
-	go test -bench 'Sweep(Single|Replicated)' -benchtime 20x -count 4 -run '^$$' . | tee -a bench.txt
-	go test -bench 'SweepOverlap' -benchtime 5x -run '^$$' . | tee -a bench.txt
-	go test -bench 'Hotspot(16x16|64x64)' -benchtime 2x -run '^$$' . | tee -a bench.txt
+	go test -bench . -benchtime 1x -benchmem -run '^$$' ./... | tee bench.txt
+	go test -bench '(Mesh|Scenario).*Kernel' -benchtime 20000x -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'MeshSparse(Gated|TracerNil)Kernel' -benchtime 20000x -count 6 -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'FiniteWorkload|BEBurst' -benchtime 50x -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'Pattern16|PatternSource' -benchtime 5x -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'PatternSource' -benchtime 5x -count 6 -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'Sweep(Single|Replicated)' -benchtime 20x -count 4 -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'SweepOverlap' -benchtime 5x -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'Hotspot(16x16|64x64)' -benchtime 2x -benchmem -run '^$$' . | tee -a bench.txt
 	go run ./cmd/benchdiff -parse bench.txt -out BENCH_ci.json
 
 # benchdiff gates the current canonical figures against the tracked

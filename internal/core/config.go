@@ -71,26 +71,52 @@ func DecodeConfigCmd(p Params, w uint32) (ConfigCmd, error) {
 	return c, nil
 }
 
+// noSource marks a disabled output lane in the configuration's source
+// table.
+const noSource = -1
+
+// laneEntry is one output lane of the configuration memory: the select
+// field as written — part of the bit image even while the lane is
+// disabled — and the global input lane it resolves to, or noSource when
+// the lane is disabled. The resolved source is the crossbar's per-cycle
+// view of the memory; it is written only by SetLane.
+type laneEntry struct {
+	in  int16
+	src int16
+}
+
 // Config is the router's configuration memory: one LaneSel per output lane.
 type Config struct {
-	p    Params
-	sels []LaneSel
+	p     Params
+	lanes []laneEntry
 }
 
 // NewConfig returns an all-disabled configuration memory.
 func NewConfig(p Params) *Config {
-	return &Config{p: p, sels: make([]LaneSel, p.TotalLanes())}
+	c := &Config{p: p, lanes: make([]laneEntry, p.TotalLanes())}
+	for g := range c.lanes {
+		c.lanes[g].src = noSource
+	}
+	return c
 }
 
 // Lane returns the configuration of output lane g.
-func (c *Config) Lane(g int) LaneSel { return c.sels[g] }
+func (c *Config) Lane(g int) LaneSel {
+	e := c.lanes[g]
+	return LaneSel{Enable: e.src != noSource, In: int(e.in)}
+}
 
-// SetLane stores the configuration of output lane g.
+// SetLane stores the configuration of output lane g and resolves its
+// select to the global input lane the crossbar reads.
 func (c *Config) SetLane(g int, s LaneSel) {
 	if s.In < 0 || s.In >= c.p.ForeignLanes() {
 		panic(fmt.Sprintf("core: select %d out of range", s.In))
 	}
-	c.sels[g] = s
+	e := laneEntry{in: int16(s.In), src: noSource}
+	if s.Enable {
+		e.src = int16(c.p.InputLane(c.p.LaneOf(g).Port, s.In))
+	}
+	c.lanes[g] = e
 }
 
 // Apply executes a configuration command.
@@ -100,8 +126,8 @@ func (c *Config) Apply(cmd ConfigCmd) { c.SetLane(cmd.Out, cmd.Sel) }
 // clock-gating power model.
 func (c *Config) EnabledLanes() int {
 	n := 0
-	for _, s := range c.sels {
-		if s.Enable {
+	for _, e := range c.lanes {
+		if e.src != noSource {
 			n++
 		}
 	}
@@ -111,11 +137,11 @@ func (c *Config) EnabledLanes() int {
 // InputFor returns the global input lane feeding output lane g and whether
 // the lane is enabled.
 func (c *Config) InputFor(g int) (int, bool) {
-	s := c.sels[g]
-	if !s.Enable {
+	src := c.lanes[g].src
+	if src == noSource {
 		return 0, false
 	}
-	return c.p.InputLane(c.p.LaneOf(g).Port, s.In), true
+	return int(src), true
 }
 
 // Bits renders the configuration memory as its hardware bit image
@@ -125,9 +151,9 @@ func (c *Config) InputFor(g int) (int, bool) {
 func (c *Config) Bits() *bitvec.Vec {
 	per := c.p.ConfigBitsPerLane()
 	v := bitvec.New(c.p.ConfigBits())
-	for g, s := range c.sels {
-		f := uint64(s.In)
-		if s.Enable {
+	for g, e := range c.lanes {
+		f := uint64(e.in)
+		if e.src != noSource {
 			f |= 1 << uint(c.p.SelBits())
 		}
 		v.SetField(g*per, per, f)
@@ -138,7 +164,7 @@ func (c *Config) Bits() *bitvec.Vec {
 // Copy returns a deep copy of the configuration.
 func (c *Config) Copy() *Config {
 	n := NewConfig(c.p)
-	copy(n.sels, c.sels)
+	copy(n.lanes, c.lanes)
 	return n
 }
 

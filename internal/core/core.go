@@ -26,7 +26,10 @@
 // experiments (Figures 9 and 10) can be regenerated.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Port identifies one of the router's five bidirectional ports.
 type Port int
@@ -112,6 +115,10 @@ func (p Params) Validate() error {
 	case p.TileWidth%p.LaneWidth != 0:
 		return fmt.Errorf("core: tile width %d not divisible by lane width %d",
 			p.TileWidth, p.LaneWidth)
+	case p.Ports > math.MaxInt16/p.LanesPerPort:
+		// The configuration memory's source table holds lane indices as int16.
+		return fmt.Errorf("core: %d ports × %d lanes exceed %d lanes",
+			p.Ports, p.LanesPerPort, math.MaxInt16)
 	}
 	return nil
 }

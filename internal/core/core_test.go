@@ -39,7 +39,8 @@ func TestParamsValidateRejects(t *testing.T) {
 		{Ports: 5, LanesPerPort: 4, LaneWidth: 17, TileWidth: 16},
 		{Ports: 5, LanesPerPort: 4, LaneWidth: 4, TileWidth: 0},
 		{Ports: 5, LanesPerPort: 4, LaneWidth: 4, TileWidth: 33},
-		{Ports: 5, LanesPerPort: 4, LaneWidth: 3, TileWidth: 16}, // not divisible
+		{Ports: 5, LanesPerPort: 4, LaneWidth: 3, TileWidth: 16},     // not divisible
+		{Ports: 200, LanesPerPort: 200, LaneWidth: 4, TileWidth: 16}, // lanes exceed int16
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
-	"repro/internal/bitvec"
 	"repro/internal/power"
 	"repro/internal/stdcell"
 )
@@ -52,11 +52,11 @@ type Router struct {
 	// gated enables the configuration-driven clock gating of Section 7.3:
 	// output registers of disabled lanes draw no clock energy.
 	gated bool
-	// ownTick, when true, makes the router account clock energy for its
-	// own registers each cycle. Assemblies that share a meter across a
-	// router and its converters leave this on; the converters then only
-	// add their own register energy.
+	// statsWords counts the valid header nibbles latched by the output
+	// registers (see WordsRouted).
 	statsWords uint64
+	// mask keeps the low LaneWidth bits of a lane value.
+	mask uint8
 
 	// activity tracking (sim.Quiescer): a router with no configured lanes,
 	// no staged configuration writes and all-idle output registers is a
@@ -85,6 +85,7 @@ func NewRouter(p Params) *Router {
 		cfg:     NewConfig(p),
 		nextOut: make([]uint8, n),
 		nextAck: make([]bool, n),
+		mask:    uint8(1<<uint(p.LaneWidth) - 1),
 	}
 }
 
@@ -146,15 +147,14 @@ func (r *Router) Quiescent() bool {
 	if r.activeLanes == 0 {
 		return true
 	}
-	for g := 0; g < r.P.TotalLanes(); g++ {
-		in, ok := r.cfg.InputFor(g)
-		if !ok {
+	for g, e := range r.cfg.lanes {
+		if e.src == noSource {
 			continue
 		}
-		if r.readIn(in) != 0 {
+		if r.readIn(int(e.src)) != 0 {
 			return false
 		}
-		if r.ackIn[g] != nil && *r.ackIn[g] {
+		if a := r.ackIn[g]; a != nil && *a {
 			return false
 		}
 	}
@@ -196,59 +196,90 @@ func (r *Router) readIn(g int) uint8 {
 	if r.in[g] == nil {
 		return 0
 	}
-	return *r.in[g] & r.laneMask()
+	return *r.in[g] & r.mask
 }
 
-func (r *Router) laneMask() uint8 { return uint8(1<<uint(r.P.LaneWidth) - 1) }
-
 // Eval implements sim.Clocked: it computes the crossbar outputs and the
-// reverse acknowledgement routing from the committed inputs.
+// reverse acknowledgement routing from the committed inputs, reading each
+// output lane's source from the configuration's source table.
 func (r *Router) Eval() {
-	n := r.P.TotalLanes()
-	for g := 0; g < n; g++ {
-		r.nextAck[g] = false
-	}
-	for g := 0; g < n; g++ {
-		in, ok := r.cfg.InputFor(g)
-		if !ok {
+	clear(r.nextAck)
+	for g, e := range r.cfg.lanes {
+		if e.src == noSource {
 			r.nextOut[g] = 0
 			continue
 		}
-		r.nextOut[g] = r.readIn(in)
+		r.nextOut[g] = r.readIn(int(e.src))
 		// The acknowledgement arriving with output lane g is routed back
 		// to the circuit's input lane. With multicast (several outputs
 		// selecting one input) acknowledgements are ORed; the window
 		// counter mechanism is defined for unicast circuits.
-		if r.ackIn[g] != nil && *r.ackIn[g] {
-			r.nextAck[in] = true
+		if a := r.ackIn[g]; a != nil && *a {
+			r.nextAck[e.src] = true
 		}
 	}
 }
 
-// Commit implements sim.Clocked: it latches outputs, applies staged
-// configuration writes and accounts power.
+// Commit implements sim.Clocked: it latches outputs, accounts this
+// cycle's switching activity and applies staged configuration writes.
+//
+// The power accounting rides on the latch loops, which read each lane's
+// old and new register values once: output register and link toggles,
+// crossbar multiplexer activity and acknowledgement wires. Clock energy
+// is charged by the assembly once per cycle (see Assembly.Commit and
+// ClockFJ); converters bound to the same meter account only their own
+// registers. The meter receives the register, link and gate counts, then
+// the configuration-register toggles, always in that order: its float
+// accumulators depend on the order of the AddToggles calls.
 func (r *Router) Commit() {
-	n := r.P.TotalLanes()
+	out, next := r.Out, r.nextOut
+	out = out[:len(next)]
+	// regFlips counts output-register bit toggles over all lanes,
+	// tileFlips those of the tile port's lanes — the first LanesPerPort
+	// global lanes, as the tile port is port 0.
+	tile := r.P.LanesPerPort
+	regFlips, tileFlips := 0, 0
+	var words uint64
+	var lit uint8
+	for g, v := range next {
+		d := bits.OnesCount8(out[g] ^ v)
+		regFlips += d
+		if g < tile {
+			tileFlips += d
+		}
+		// Counting header nibbles overcounts (data nibbles may have bit 0
+		// set); the converter-level statistics are exact. This is only a
+		// coarse activity indicator. HdrValid is bit 0, so the masked
+		// value is the count.
+		words += uint64(v & uint8(HdrValid))
+		lit |= v
+		out[g] = v
+	}
+	ackOut, nextAck := r.AckOut, r.nextAck
+	ackOut = ackOut[:len(nextAck)]
+	ackFlips := 0
+	anyAck := false
+	for g, ack := range nextAck {
+		if ackOut[g] != ack {
+			ackFlips++
+		}
+		anyAck = anyAck || ack
+		ackOut[g] = ack
+	}
+	r.statsWords += words
+	r.outDirty = lit != 0 || anyAck
 
 	if r.meter != nil {
-		r.accountPower()
+		// The output register drives the inter-router link; the tile
+		// port drives the short local connection to the converter. Data
+		// toggles also ripple through about two 2:1 stages of the
+		// output's multiplexer tree (the selected path; unselected
+		// subtrees are logically shielded). Acknowledgement wires toggle
+		// a register and a link each.
+		r.meter.AddToggles(power.ToggleReg, regFlips+ackFlips)
+		r.meter.AddToggles(power.ToggleLink, regFlips-tileFlips+ackFlips)
+		r.meter.AddToggles(power.ToggleGate, tileFlips+2*regFlips)
 	}
-
-	dirty := false
-	for g := 0; g < n; g++ {
-		if r.nextOut[g]&uint8(HdrValid) != 0 {
-			// Counting header nibbles overcounts (data nibbles may have
-			// bit 0 set); the converter-level statistics are exact. This
-			// is only a coarse activity indicator.
-			r.statsWords++
-		}
-		if r.nextOut[g] != 0 || r.nextAck[g] {
-			dirty = true
-		}
-		r.Out[g] = r.nextOut[g]
-		r.AckOut[g] = r.nextAck[g]
-	}
-	r.outDirty = dirty
 
 	if len(r.cfgPending) > 0 {
 		if r.meter != nil {
@@ -265,40 +296,6 @@ func (r *Router) Commit() {
 		r.cfgPending = r.cfgPending[:0]
 		r.activeLanes = r.cfg.EnabledLanes()
 	}
-}
-
-// accountPower records this cycle's switching activity: output register and
-// link toggles, crossbar multiplexer activity and acknowledgement wires.
-// Clock energy for the router's registers is recorded here too; converters
-// bound to the same meter account only their own registers.
-func (r *Router) accountPower() {
-	n := r.P.TotalLanes()
-	regFlips, linkFlips, gateFlips, ackFlips := 0, 0, 0, 0
-	for g := 0; g < n; g++ {
-		d := bitvec.Hamming16(uint16(r.Out[g]), uint16(r.nextOut[g]))
-		if d != 0 {
-			regFlips += d
-			// The output register drives the inter-router link; the tile
-			// port drives the short local connection to the converter.
-			if r.P.LaneOf(g).Port == Tile {
-				gateFlips += d
-			} else {
-				linkFlips += d
-			}
-			// Data toggles ripple through about two 2:1 stages of the
-			// output's multiplexer tree (the selected path; unselected
-			// subtrees are logically shielded).
-			gateFlips += 2 * d
-		}
-		if r.AckOut[g] != r.nextAck[g] {
-			ackFlips++
-		}
-	}
-	r.meter.AddToggles(power.ToggleReg, regFlips+ackFlips)
-	r.meter.AddToggles(power.ToggleLink, linkFlips+ackFlips)
-	r.meter.AddToggles(power.ToggleGate, gateFlips)
-	// Clock energy: the meter's Tick is driven by the assembly once per
-	// cycle; see Assembly.Commit and ClockFJ.
 }
 
 // RouterRegBits returns the router's sequential cell census (excluding
@@ -318,11 +315,9 @@ func (r *Router) ClockFJ(lib stdcell.Lib, gated bool) float64 {
 	if !gated {
 		return power.ClockEnergyFor(lib, RouterRegBits(r.P), 0)
 	}
-	active := r.P.ConfigBits() // configuration memory is always live
-	for g := 0; g < r.P.TotalLanes(); g++ {
-		if _, ok := r.cfg.InputFor(g); ok {
-			active += r.P.LaneWidth + 1
-		}
-	}
-	return power.ClockEnergyFor(lib, active, 0)
+	// The configuration memory is always live; every enabled lane clocks
+	// its output register and its ack register. The configuration changes
+	// only at a clock edge (Commit) or a Restore, both of which recount
+	// activeLanes.
+	return power.ClockEnergyFor(lib, r.P.ConfigBits()+r.activeLanes*(r.P.LaneWidth+1), 0)
 }

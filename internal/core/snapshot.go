@@ -16,7 +16,8 @@ import (
 
 // Snapshot appends the configuration memory's lane selects.
 func (c *Config) Snapshot(buf []byte) []byte {
-	for _, s := range c.sels {
+	for g := range c.lanes {
+		s := c.Lane(g)
 		buf = sim.AppendBool(buf, s.Enable)
 		buf = sim.AppendU64(buf, uint64(s.In))
 	}
@@ -26,7 +27,7 @@ func (c *Config) Snapshot(buf []byte) []byte {
 // Restore is the inverse of Snapshot; it returns the unread remainder.
 func (c *Config) Restore(data []byte) ([]byte, error) {
 	var err error
-	for g := range c.sels {
+	for g := range c.lanes {
 		var s LaneSel
 		if s.Enable, data, err = sim.ReadBool(data); err != nil {
 			return nil, err
@@ -35,11 +36,11 @@ func (c *Config) Restore(data []byte) ([]byte, error) {
 		if in, data, err = sim.ReadU64(data); err != nil {
 			return nil, err
 		}
-		s.In = int(in)
-		if s.In < 0 || s.In >= c.p.ForeignLanes() {
-			return nil, fmt.Errorf("core: snapshot lane select %d out of range", s.In)
+		if in >= uint64(c.p.ForeignLanes()) {
+			return nil, fmt.Errorf("core: snapshot lane select %d out of range", in)
 		}
-		c.sels[g] = s
+		s.In = int(in)
+		c.SetLane(g, s)
 	}
 	return data, nil
 }
@@ -117,27 +118,26 @@ func (r *Router) Restore(data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// snapshotWordPtr appends an optional staged word.
-func snapshotWordPtr(buf []byte, w *Word) []byte {
-	buf = sim.AppendBool(buf, w != nil)
-	if w != nil {
+// snapshotOptWord appends an optional staged word.
+func snapshotOptWord(buf []byte, w Word, ok bool) []byte {
+	buf = sim.AppendBool(buf, ok)
+	if ok {
 		buf = sim.AppendU64(buf, uint64(w.Pack()))
 	}
 	return buf
 }
 
-// restoreWordPtr reads an optional staged word.
-func restoreWordPtr(data []byte) (*Word, []byte, error) {
+// restoreOptWord reads an optional staged word.
+func restoreOptWord(data []byte) (Word, bool, []byte, error) {
 	ok, data, err := sim.ReadBool(data)
 	if err != nil || !ok {
-		return nil, data, err
+		return Word{}, false, data, err
 	}
 	p, data, err := sim.ReadU64(data)
 	if err != nil {
-		return nil, nil, err
+		return Word{}, false, nil, err
 	}
-	w := Unpack(uint32(p))
-	return &w, data, nil
+	return Unpack(uint32(p)), true, data, nil
 }
 
 // Snapshot implements sim.Snapshotter for the transmit converter.
@@ -147,8 +147,8 @@ func (t *TxConverter) Snapshot(buf []byte) []byte {
 	buf = sim.AppendU64(buf, uint64(t.shift))
 	buf = sim.AppendU64(buf, uint64(t.cnt))
 	buf = sim.AppendU64(buf, uint64(int64(t.wc)))
-	buf = snapshotWordPtr(buf, t.pending)
-	buf = snapshotWordPtr(buf, t.staged)
+	buf = snapshotOptWord(buf, t.pending, t.hasPending)
+	buf = snapshotOptWord(buf, t.staged, t.hasStaged)
 	buf = sim.AppendU64(buf, t.sent)
 	buf = sim.AppendU64(buf, t.stalledCount)
 	buf = sim.AppendU64(buf, t.wcViolations)
@@ -178,10 +178,10 @@ func (t *TxConverter) Restore(data []byte) ([]byte, error) {
 		return nil, err
 	}
 	t.wc = int(int64(u))
-	if t.pending, data, err = restoreWordPtr(data); err != nil {
+	if t.pending, t.hasPending, data, err = restoreOptWord(data); err != nil {
 		return nil, err
 	}
-	if t.staged, data, err = restoreWordPtr(data); err != nil {
+	if t.staged, t.hasStaged, data, err = restoreOptWord(data); err != nil {
 		return nil, err
 	}
 	if t.sent, data, err = sim.ReadU64(data); err != nil {

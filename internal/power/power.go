@@ -142,6 +142,8 @@ type Meter struct {
 	toggles     [numToggleKinds]uint64
 
 	fullClockFJ float64 // per-cycle clock energy when ungated
+	// energy caches toggleEnergy for each kind, in fJ per transition.
+	energy [numToggleKinds]struct{ internal, switching float64 }
 }
 
 // NewMeter returns a meter for the design at the given clock frequency.
@@ -149,12 +151,16 @@ func NewMeter(d *netlist.Design, lib stdcell.Lib, freqMHz float64) *Meter {
 	if freqMHz <= 0 {
 		panic("power: non-positive frequency")
 	}
-	return &Meter{
+	m := &Meter{
 		lib:         lib,
 		design:      d,
 		freqMHz:     freqMHz,
 		fullClockFJ: d.ClockEnergyPerCycle(lib),
 	}
+	for k := ToggleKind(0); k < numToggleKinds; k++ {
+		m.energy[k].internal, m.energy[k].switching = toggleEnergy(lib, k)
+	}
+	return m
 }
 
 // Tick records one clock cycle with the full (ungated) clock network active.
@@ -210,9 +216,9 @@ func (m *Meter) AddToggles(k ToggleKind, n int) {
 	if n == 0 {
 		return
 	}
-	in, sw := toggleEnergy(m.lib, k)
-	m.internalFJ += in * float64(n)
-	m.switchingFJ += sw * float64(n)
+	e := &m.energy[k]
+	m.internalFJ += e.internal * float64(n)
+	m.switchingFJ += e.switching * float64(n)
 	m.toggles[k] += uint64(n)
 }
 
@@ -255,8 +261,7 @@ func (m *Meter) ClassUW(k ToggleKind) float64 {
 	if m.cycles == 0 {
 		return 0
 	}
-	in, sw := toggleEnergy(m.lib, k)
-	e := (in + sw) * float64(m.toggles[k])
+	e := (m.energy[k].internal + m.energy[k].switching) * float64(m.toggles[k])
 	return e / m.SimTimeUS() / 1e3
 }
 
