@@ -611,8 +611,8 @@ func runSweep(w io.Writer, path string, fl sweepFlags) error {
 		// instance the sweep just used.
 		if c, cerr := noc.OpenCache(spec.CacheDir); cerr == nil {
 			s := c.Counters()
-			fmt.Fprintf(os.Stderr, "nocbench: cache hits=%d misses=%d puts=%d warm_hits=%d warm_stores=%d\n",
-				s.Hits, s.Misses, s.Puts, s.WarmHits, s.WarmStores)
+			fmt.Fprintf(os.Stderr, "nocbench: cache hits=%d misses=%d puts=%d\n",
+				s.Hits, s.Misses, s.Puts)
 		}
 	}
 	return runErr

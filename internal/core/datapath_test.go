@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -55,7 +55,7 @@ func TestConfigSourceTableConsistency(t *testing.T) {
 		n := p.TotalLanes()
 		for step := 0; step < 3000; step++ {
 			var op string
-			switch rng.Intn(6) {
+			switch rng.Intn(4) {
 			case 0:
 				op = "Apply"
 				r.cfg.Apply(ConfigCmd{Out: rng.Intn(n), Sel: randomSel(p, rng)})
@@ -67,24 +67,6 @@ func TestConfigSourceTableConsistency(t *testing.T) {
 				cp := r.cfg.Copy()
 				checkSourceTable(t, p, cp, step, op)
 				r.cfg = cp
-			case 3:
-				op = "Config Snapshot/Restore"
-				c := NewConfig(p)
-				if _, err := c.Restore(r.cfg.Snapshot(nil)); err != nil {
-					t.Fatal(err)
-				}
-				checkSourceTable(t, p, c, step, op)
-				r.cfg = c
-			case 4:
-				op = "Router Snapshot/Restore"
-				if rng.Intn(2) == 0 {
-					r.PushConfig(ConfigCmd{Out: rng.Intn(n), Sel: randomSel(p, rng)})
-				}
-				nr := NewRouter(p)
-				if _, err := nr.Restore(r.Snapshot(nil)); err != nil {
-					t.Fatal(err)
-				}
-				r = nr
 			default:
 				op = "PushConfig+Commit"
 				for k := rng.Intn(3); k >= 0; k-- {
@@ -113,7 +95,7 @@ func laneScanClockFJ(r *Router, lib stdcell.Lib) float64 {
 
 // TestRouterGatedClockMatchesLaneScan checks the gated clock energy, which
 // the router derives from its active-lane count, against a scan of the
-// configuration over random reconfigurations and snapshot restores.
+// configuration over random reconfigurations.
 func TestRouterGatedClockMatchesLaneScan(t *testing.T) {
 	lib := stdcell.Default013()
 	for _, p := range datapathParams() {
@@ -124,13 +106,6 @@ func TestRouterGatedClockMatchesLaneScan(t *testing.T) {
 				r.PushConfig(ConfigCmd{Out: rng.Intn(p.TotalLanes()), Sel: randomSel(p, rng)})
 			}
 			step(r)
-			if rng.Intn(10) == 0 {
-				nr := NewRouter(p)
-				if _, err := nr.Restore(r.Snapshot(nil)); err != nil {
-					t.Fatal(err)
-				}
-				r = nr
-			}
 			got, want := r.ClockFJ(lib, true), laneScanClockFJ(r, lib)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%+v step %d: gated ClockFJ = %v, lane scan %v", p, i, got, want)
@@ -181,11 +156,21 @@ func referenceCommit(r *Router, m *power.Meter) {
 	}
 }
 
+// routerStateEqual reports whether two routers hold the same clocked
+// state: output and acknowledgement registers, configuration, staged
+// configuration writes, and counters. The meter binding is left out, as
+// only one of the routers compared below is metered.
+func routerStateEqual(a, b *Router) bool {
+	return reflect.DeepEqual(a.Out, b.Out) && reflect.DeepEqual(a.AckOut, b.AckOut) &&
+		reflect.DeepEqual(a.cfg, b.cfg) && reflect.DeepEqual(a.cfgPending, b.cfgPending) &&
+		a.statsWords == b.statsWords && a.outDirty == b.outDirty
+}
+
 // TestRouterPowerAccountingMatchesReference drives two routers with the
 // same random input, acknowledgement and configuration streams — one
 // metered through the fused Commit, one through the former separate
-// accounting pass — and requires identical toggle counts and bit-identical
-// energy accumulators.
+// accounting pass — and requires identical toggle counts, equal energy
+// accumulators and equal router state.
 func TestRouterPowerAccountingMatchesReference(t *testing.T) {
 	lib := stdcell.Default013()
 	for _, p := range datapathParams() {
@@ -229,9 +214,7 @@ func TestRouterPowerAccountingMatchesReference(t *testing.T) {
 		if mFused.Toggles(power.ToggleLink) == 0 {
 			t.Errorf("%+v: the random streams produced no link toggles", p)
 		}
-		// The snapshot carries the internal and switching accumulators as
-		// raw float bits.
-		if !bytes.Equal(mFused.Snapshot(nil), mRef.Snapshot(nil)) {
+		if !reflect.DeepEqual(mFused, mRef) {
 			t.Errorf("%+v: meter accumulators differ from the reference", p)
 		}
 		bf, br := mFused.Report("fused"), mRef.Report("ref")
@@ -239,7 +222,7 @@ func TestRouterPowerAccountingMatchesReference(t *testing.T) {
 			math.Float64bits(bf.SwitchingUW) != math.Float64bits(br.SwitchingUW) {
 			t.Errorf("%+v: report %+v, reference %+v", p, bf, br)
 		}
-		if !bytes.Equal(fused.Snapshot(nil), ref.Snapshot(nil)) {
+		if !routerStateEqual(fused, ref) {
 			t.Errorf("%+v: router state differs from the reference", p)
 		}
 	}

@@ -317,7 +317,6 @@ func (r *Router) ClockFJ(lib stdcell.Lib, gated bool) float64 {
 	}
 	// The configuration memory is always live; every enabled lane clocks
 	// its output register and its ack register. The configuration changes
-	// only at a clock edge (Commit) or a Restore, both of which recount
-	// activeLanes.
+	// only at a clock edge (Commit), which recounts activeLanes.
 	return power.ClockEnergyFor(lib, r.P.ConfigBits()+r.activeLanes*(r.P.LaneWidth+1), 0)
 }

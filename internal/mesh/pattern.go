@@ -77,28 +77,6 @@ type PatternConfig struct {
 	// them into one distribution. Off by default: a plain run only needs
 	// the summary moments.
 	RetainLatency bool
-	// Warm, when non-nil, connects the run to the warm-start checkpoint
-	// layer: before simulating, Lookup is consulted for a checkpoint of
-	// this exact configuration prefix (everything but the run length);
-	// a hit restores it and simulates only the remaining cycles, with
-	// results byte-identical to a full run by the snapshot exactness
-	// contract. After the run the final state is offered to Store. Any
-	// snapshot or restore failure falls back silently to full
-	// simulation.
-	Warm *WarmHook
-}
-
-// WarmHook is the checkpoint exchange of a warm-started pattern run. The
-// caller owns keying: both callbacks are already scoped to one
-// configuration prefix (same mesh, pattern, injection, seed, retention —
-// different run length), so the hook only speaks cycles and bytes.
-type WarmHook struct {
-	// Lookup returns a stored checkpoint taken at cycle <= maxCycle,
-	// preferring the latest, and whether one exists.
-	Lookup func(maxCycle uint64) (data []byte, cycle uint64, ok bool)
-	// Store persists a checkpoint taken at the given cycle. Implementations
-	// decide retention; Store may be nil.
-	Store func(cycle uint64, data []byte)
 }
 
 // Validate checks the configuration.
@@ -492,9 +470,7 @@ func (d *patternSink) IdleWindow(n uint64) { d.cycle += n }
 // injection source plus the flow-local stream state its Emit closure
 // feeds — the data-word generator, the in-flight injection stamps and
 // the warm-up injection record. Embedding *pattern.Source forwards the
-// kernel interfaces (sim.Clocked, Quiescer, IdleWindower, Timed); the
-// wrapper adds sim.Snapshotter over the whole flow-head state so a
-// warm-start checkpoint captures the flow exactly.
+// kernel interfaces (sim.Clocked, Quiescer, IdleWindower, Timed).
 type patternSource struct {
 	*pattern.Source
 	gen    *bitvec.FlipGen
@@ -512,11 +488,9 @@ type liveFlow struct {
 	idx  int
 }
 
-// patternSim is one pattern run split into phases so the warm-start
-// layer can interpose: setup (mesh construction, metering, lane
-// establishment, component registration), run (cold, or
-// restore-then-continue from a checkpoint) and finish (counts, warm-up
-// truncation, power reports).
+// patternSim is one pattern run split into its phases: setup (mesh
+// construction, metering, lane establishment, component registration),
+// run, and finish (counts, warm-up truncation, power reports).
 type patternSim struct {
 	cfg    PatternConfig
 	m      *Mesh
@@ -529,10 +503,7 @@ type patternSim struct {
 }
 
 // newPatternSim validates the configuration and builds the fully
-// established world, stopping just short of simulating. Establishment
-// happens here — before any checkpoint restore — because lane setup is
-// an instantaneous, deterministic function of the configuration, so the
-// restored state was produced by an identical establishment.
+// established world, stopping just short of simulating.
 func newPatternSim(cfg PatternConfig) (*patternSim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -693,24 +664,12 @@ func (ps *patternSim) finish() (*PatternResult, error) {
 // pattern.Sources and drained by quiescent sinks, so a sparse run
 // fast-forwards between words under sim.KernelEvent with results
 // byte-identical to the gated and naive kernels.
-//
-// With cfg.Warm set, the run may start from a stored checkpoint of the
-// same configuration prefix and simulate only the remaining cycles; the
-// result is byte-identical either way by the snapshot exactness
-// contract, and any snapshot failure falls back to full simulation.
 func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 	ps, err := newPatternSim(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if !ps.runWarm() {
-		// A checkpoint restore failed partway and may have left the
-		// world tainted: rebuild from scratch and run cold.
-		if ps, err = newPatternSim(cfg); err != nil {
-			return nil, err
-		}
-		ps.m.Run(cfg.Cycles)
-	}
+	ps.m.Run(cfg.Cycles)
 	return ps.finish()
 }
 

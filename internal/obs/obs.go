@@ -66,7 +66,6 @@ const (
 	KindDeliver        = "deliver"
 	KindCacheHit       = "cache-hit"
 	KindCacheMiss      = "cache-miss"
-	KindWarmFork       = "warm-fork"
 )
 
 // Event is one traced occurrence, timestamped in simulation cycles.

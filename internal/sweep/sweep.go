@@ -155,30 +155,20 @@ func RunMonitored[T any](ctx context.Context, n, workers int, m Monitor,
 	return nil
 }
 
-// RunCached is Run with a lookup layer in front of the worker pool:
-// before dispatching job i it consults lookup(i), and a hit short-cuts
-// the job entirely — only misses enter the pool. Results still reach
-// emit in strict index order (hits interleaved with computed misses at
-// their original indices), so the emitted stream is byte-identical to a
-// plain Run for any worker count and any hit pattern. A computed miss
-// that returns no error is offered to store(i, v) before it is emitted,
-// so later overlapping runs can hit on it. lookup, store and emit are
-// all called from the RunCached goroutine and need no locking.
-func RunCached[T any](ctx context.Context, n, workers int,
-	lookup func(i int) (T, bool),
-	job func(ctx context.Context, i int) (T, error),
-	store func(i int, v T),
-	emit func(i int, v T, err error) error) error {
-	return RunCachedMonitored(ctx, n, workers, nil, lookup, job, store, emit)
-}
-
-// RunCachedMonitored is RunCached with a scheduling monitor attached to
-// the worker pool; cache hits bypass the pool and are never reported to
-// the monitor. A nil monitor is exactly RunCached.
+// RunCachedMonitored is Run with a lookup layer in front of the worker
+// pool and a scheduling monitor attached to it: before dispatching job i
+// it consults lookup(i), and a hit short-cuts the job entirely — only
+// misses enter the pool. Every lookup is made before the first job
+// starts. Results still reach emit in strict index order (hits
+// interleaved with computed misses at their original indices), so the
+// emitted stream is byte-identical to a plain Run for any worker count
+// and any hit pattern. lookup and emit are called from the
+// RunCachedMonitored goroutine and need no locking. Cache hits bypass
+// the pool and are never reported to the monitor; a nil monitor reports
+// nothing.
 func RunCachedMonitored[T any](ctx context.Context, n, workers int, m Monitor,
 	lookup func(i int) (T, bool),
 	job func(ctx context.Context, i int) (T, error),
-	store func(i int, v T),
 	emit func(i int, v T, err error) error) error {
 	if n <= 0 {
 		return nil
@@ -223,9 +213,6 @@ func RunCachedMonitored[T any](ctx context.Context, n, workers int, m Monitor,
 			gi := misses[mi]
 			if ferr := flushHits(gi); ferr != nil {
 				return ferr
-			}
-			if err == nil && store != nil {
-				store(gi, v)
 			}
 			if eerr := emit(gi, v, err); eerr != nil {
 				return eerr

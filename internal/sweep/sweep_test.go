@@ -179,9 +179,8 @@ func TestRunCachedOrderAndStores(t *testing.T) {
 			t.Run(fmt.Sprintf("workers=%d hitMod=%d", workers, hitMod), func(t *testing.T) {
 				const n = 41
 				var order []int
-				var stored []int
 				var ran int32
-				err := RunCached(context.Background(), n, workers,
+				err := RunCachedMonitored(context.Background(), n, workers, nil,
 					func(i int) (int, bool) {
 						if hitMod > 0 && i%hitMod == 0 {
 							return i * 10, true
@@ -193,7 +192,6 @@ func TestRunCachedOrderAndStores(t *testing.T) {
 						time.Sleep(time.Duration(n-i) * 5 * time.Microsecond)
 						return i * 10, nil
 					},
-					func(i int, v int) { stored = append(stored, i) },
 					func(i int, v int, err error) error {
 						if err != nil {
 							return err
@@ -224,9 +222,6 @@ func TestRunCachedOrderAndStores(t *testing.T) {
 				if int(ran) != wantMisses {
 					t.Fatalf("ran %d jobs, want %d", ran, wantMisses)
 				}
-				if len(stored) != wantMisses {
-					t.Fatalf("stored %d, want %d", len(stored), wantMisses)
-				}
 			})
 		}
 	}
@@ -235,10 +230,9 @@ func TestRunCachedOrderAndStores(t *testing.T) {
 func TestRunCachedEmitErrorStops(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	err := RunCached(context.Background(), 10, 2,
+	err := RunCachedMonitored(context.Background(), 10, 2, nil,
 		func(i int) (int, bool) { return i, i%2 == 0 },
 		func(_ context.Context, i int) (int, error) { return i, nil },
-		nil,
 		func(i int, v int, err error) error {
 			calls++
 			if i == 3 {
@@ -256,9 +250,8 @@ func TestRunCachedEmitErrorStops(t *testing.T) {
 
 func TestRunCachedJobErrorPassesThroughWithoutStore(t *testing.T) {
 	boom := errors.New("job failed")
-	var stored int
 	var got map[int]error = map[int]error{}
-	err := RunCached(context.Background(), 6, 3,
+	err := RunCachedMonitored(context.Background(), 6, 3, nil,
 		func(i int) (int, bool) { return 0, false },
 		func(_ context.Context, i int) (int, error) {
 			if i == 2 {
@@ -266,7 +259,6 @@ func TestRunCachedJobErrorPassesThroughWithoutStore(t *testing.T) {
 			}
 			return i, nil
 		},
-		func(i int, v int) { stored++ },
 		func(i int, v int, err error) error {
 			got[i] = err
 			return nil
@@ -276,8 +268,5 @@ func TestRunCachedJobErrorPassesThroughWithoutStore(t *testing.T) {
 	}
 	if got[2] != boom {
 		t.Fatalf("index 2 err = %v", got[2])
-	}
-	if stored != 5 {
-		t.Fatalf("stored %d results, want 5 (failed job must not be stored)", stored)
 	}
 }

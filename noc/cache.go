@@ -7,27 +7,27 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime/debug"
-	"sort"
 	"sync"
 
 	"repro/internal/cellcache"
-	"repro/internal/mesh"
 	"repro/internal/obs"
 )
 
-// This file is the façade's content-addressed reuse layer. Level 1
-// keys every single run — a sweep cell, one replication of a
-// replicated cell, or a standalone Fabric.Run — by a canonical hash of
-// the fully resolved configuration (fabric knobs, defaulted scenario,
-// derived seed) plus a code-version fingerprint, and stores the encoded
-// Result in an internal/cellcache store. Determinism is the correctness
+// This file is the façade's content-addressed result cache. It keys
+// every single run — a sweep cell, one replication of a replicated
+// cell, or a standalone Fabric.Run — by a canonical hash of the fully
+// resolved configuration (fabric knobs, defaulted scenario, derived
+// seed) plus a code-version fingerprint, and stores the encoded Result
+// in an internal/cellcache store. Determinism is the correctness
 // argument: the key material fully determines the run's bytes, so a
 // hit is byte-exact by construction, and sweeps are byte-identical for
-// any worker count, hit pattern or warm/cold state. Level 2 keeps
-// warm-start world checkpoints keyed by the configuration prefix
-// (everything but the run length and measurement window), so cells
-// that share a warm-up trajectory fork from one checkpoint instead of
-// re-simulating it.
+// any worker count, hit pattern or warm/cold state.
+//
+// Each run is looked up exactly once. A sweep job is looked up by the
+// sweep engine before dispatch and, on a miss, runs its fabric without
+// a cache and stores the result from the worker; a standalone
+// Fabric.Run with WithCache goes through runThrough. Both share get and
+// put, so a miss is counted once.
 //
 // Deliberately excluded from the key: the kernel choice and the Eval
 // worker bound. Results are byte-identical across kernels and worker
@@ -118,7 +118,6 @@ type cacheKeyMaterial struct {
 	Fabric      fabricKeyMaterial `json:"fabric"`
 	Scenario    Scenario          `json:"scenario"`
 	PoolLatency bool              `json:"pool_latency"`
-	WarmupOn    bool              `json:"warmup_on,omitempty"`
 }
 
 // cellKey hashes one run's canonical key material. The scenario must
@@ -137,35 +136,6 @@ func cellKey(kind Kind, cfg config, sc Scenario) cellcache.Key {
 		// The material is plain data; marshalling cannot fail. Guard
 		// anyway so a future field type cannot silently collapse keys.
 		panic(fmt.Sprintf("noc: cache key material: %v", err))
-	}
-	return cellcache.KeyOf(b)
-}
-
-// warmPrefixKey hashes the configuration prefix two runs must share to
-// fork from the same warm-start checkpoint: everything in the cell key
-// except the run length, the measurement window and the display name —
-// none of which alter the simulated trajectory — plus a flag for
-// whether warm-up accounting is on at all, since that changes what the
-// run accumulates while simulating.
-func warmPrefixKey(kind Kind, cfg config, sc Scenario) cellcache.Key {
-	warmOn := sc.WarmupCycles > 0 || sc.WarmupAuto
-	pool := sc.poolLatency
-	sc.Name = ""
-	sc.Cycles = 0
-	sc.WarmupCycles = 0
-	sc.WarmupAuto = false
-	m := cacheKeyMaterial{
-		Schema:      cacheKeySchema,
-		Fingerprint: codeFingerprint(),
-		Kind:        kind,
-		Fabric:      fabricKeyOf(cfg),
-		Scenario:    sc,
-		PoolLatency: pool,
-		WarmupOn:    warmOn,
-	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		panic(fmt.Sprintf("noc: warm prefix key material: %v", err))
 	}
 	return cellcache.KeyOf(b)
 }
@@ -217,55 +187,30 @@ type CacheStats struct {
 	Key string
 }
 
-// warmCheckpoint is one stored warm-start checkpoint.
-type warmCheckpoint struct {
-	cycle uint64
-	data  []byte
-}
-
-const (
-	// warmKeepPerPrefix bounds the checkpoints kept per configuration
-	// prefix (distinct run lengths of the same trajectory).
-	warmKeepPerPrefix = 4
-	// warmKeepPrefixes bounds the distinct prefixes held in memory;
-	// the oldest prefix is dropped first. Checkpoints are a pure
-	// accelerator — dropping one costs time, never correctness.
-	warmKeepPrefixes = 64
-)
-
-// Cache is the façade's two-level reuse store: a content-addressed
-// Result cache (in-memory LRU, optionally mirrored to a directory) and
-// an in-memory registry of warm-start world checkpoints. One Cache is
-// safely shared by concurrent runs; instances are deduplicated per
-// directory within the process, so every fabric and sweep pointed at
-// the same directory shares one store.
+// Cache is the façade's content-addressed Result cache (in-memory LRU,
+// optionally mirrored to a directory). One Cache is safely shared by
+// concurrent runs; instances are deduplicated per directory within the
+// process, so every fabric and sweep pointed at the same directory
+// shares one store.
 type Cache struct {
 	store *cellcache.Store
-
-	mu         sync.Mutex
-	warm       map[cellcache.Key][]warmCheckpoint
-	warmOrder  []cellcache.Key
-	warmHits   uint64
-	warmStores uint64
 }
 
 // CacheCounters is a point-in-time snapshot of a Cache's traffic.
 type CacheCounters struct {
-	// Hits, Misses and Puts count the Level-1 result cache's traffic.
+	// Hits, Misses and Puts count the result cache's traffic.
 	Hits, Misses, Puts uint64
-	// WarmHits and WarmStores count warm-start checkpoint reuse.
+	// WarmHits and WarmStores are always 0: there is no warm-start
+	// checkpoint layer to count (per-cell seeds meant no two runs ever
+	// shared a checkpoint, so it was deleted). The fields are kept so
+	// existing readers of CacheCounters keep compiling.
 	WarmHits, WarmStores uint64
 }
 
 // Counters returns the cache's traffic counters.
 func (c *Cache) Counters() CacheCounters {
 	s := c.store.Stats()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheCounters{
-		Hits: s.Hits, Misses: s.Misses, Puts: s.Puts,
-		WarmHits: c.warmHits, WarmStores: c.warmStores,
-	}
+	return CacheCounters{Hits: s.Hits, Misses: s.Misses, Puts: s.Puts}
 }
 
 // cacheRegistry deduplicates Cache instances: one process-wide
@@ -284,10 +229,7 @@ func OpenCache(dir string) (*Cache, error) {
 	defer cacheRegistry.mu.Unlock()
 	if dir == "" {
 		if cacheRegistry.mem == nil {
-			cacheRegistry.mem = &Cache{
-				store: cellcache.New(cellcache.DefaultMaxEntries),
-				warm:  map[cellcache.Key][]warmCheckpoint{},
-			}
+			cacheRegistry.mem = &Cache{store: cellcache.New(cellcache.DefaultMaxEntries)}
 		}
 		return cacheRegistry.mem, nil
 	}
@@ -299,7 +241,7 @@ func OpenCache(dir string) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("noc: cache: %w", err)
 	}
-	c := &Cache{store: store, warm: map[cellcache.Key][]warmCheckpoint{}}
+	c := &Cache{store: store}
 	if cacheRegistry.byDir == nil {
 		cacheRegistry.byDir = map[string]*Cache{}
 	}
@@ -322,52 +264,23 @@ func (c *Cache) runThrough(kind Kind, cfg config, sc Scenario, run func() (*Resu
 		return run()
 	}
 	key := cellKey(kind, cfg, sc)
-	if data, ok := c.store.Get(key); ok {
-		if res, err := decodeResultEnvelope(data); err == nil {
-			res.CacheStats = &CacheStats{Hit: true, Key: key.String()}
-			c.observeOutcome(cfg, key, true)
-			return res, nil
+	res, hit := c.get(key)
+	c.observe(cfg.obs, key, hit)
+	if !hit {
+		var err error
+		if res, err = run(); err != nil {
+			return nil, err
 		}
-		// An undecodable entry is treated as a miss; the fresh result
-		// overwrites it below.
+		c.put(key, res)
 	}
-	c.observeOutcome(cfg, key, false)
-	res, err := run()
-	if err != nil {
-		return nil, err
-	}
-	if data, err := encodeResultEnvelope(res); err == nil {
-		c.store.Put(key, data)
-	}
-	res.CacheStats = &CacheStats{Hit: false, Key: key.String()}
+	c.store.MetricsInto(cfg.obs.Metrics)
 	return res, nil
 }
 
-// observeOutcome reports one cache consultation to the run's
-// observability hooks: a domain-scope hit/miss event on the "cache"
-// track (cycle 0 — the consultation precedes simulation) and per-run
-// hit/miss counters, plus the shared store's lifetime gauges.
-func (c *Cache) observeOutcome(cfg config, key cellcache.Key, hit bool) {
-	if t := cfg.obs.Tracer; t != nil {
-		kind := obs.KindCacheMiss
-		if hit {
-			kind = obs.KindCacheHit
-		}
-		t.Emit(obs.Event{Track: "cache", Kind: kind, Detail: key.String()[:16]})
-	}
-	if m := cfg.obs.Metrics; m != nil {
-		if hit {
-			m.Counter("cache.hits").Add(1)
-		} else {
-			m.Counter("cache.misses").Add(1)
-		}
-		c.store.MetricsInto(m)
-	}
-}
-
-// lookupResult consults only the Level-1 store — the sweep engine's
-// pre-dispatch check. It never runs anything.
-func (c *Cache) lookupResult(key cellcache.Key) (*Result, bool) {
+// get returns the stored Result for key, marked as a hit. An
+// undecodable entry is treated as a miss; the fresh result's put
+// overwrites it.
+func (c *Cache) get(key cellcache.Key) (*Result, bool) {
 	data, ok := c.store.Get(key)
 	if !ok {
 		return nil, false
@@ -380,73 +293,31 @@ func (c *Cache) lookupResult(key cellcache.Key) (*Result, bool) {
 	return res, true
 }
 
-// patternWarmHook returns the warm-start checkpoint exchange for a
-// circuit-mesh pattern run of the given configuration, or nil when the
-// receiver is nil. All runs sharing the configuration prefix exchange
-// checkpoints through the same slot; restores are byte-exact, so any
-// interleaving of concurrent runs yields identical results.
-func (c *Cache) patternWarmHook(kind Kind, cfg config, sc Scenario) *mesh.WarmHook {
-	if c == nil {
-		return nil
+// put stores a freshly computed Result under key and marks it as a
+// miss.
+func (c *Cache) put(key cellcache.Key, res *Result) {
+	if data, err := encodeResultEnvelope(res); err == nil {
+		c.store.Put(key, data)
 	}
-	prefix := warmPrefixKey(kind, cfg, sc)
-	hooks := cfg.obs
-	return &mesh.WarmHook{
-		Lookup: func(maxCycle uint64) ([]byte, uint64, bool) {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			cps := c.warm[prefix]
-			for i := len(cps) - 1; i >= 0; i-- {
-				if cps[i].cycle <= maxCycle {
-					c.warmHits++
-					// A warm fork skips the simulated prefix, so the
-					// event (and the traced run) starts at the
-					// checkpoint cycle.
-					if hooks.Tracer != nil {
-						hooks.Tracer.Emit(obs.Event{Cycle: cps[i].cycle, Track: "cache",
-							Kind: obs.KindWarmFork, Value: int64(cps[i].cycle)})
-					}
-					if hooks.Metrics != nil {
-						hooks.Metrics.Counter("cache.warm_hits").Add(1)
-					}
-					return cps[i].data, cps[i].cycle, true
-				}
-			}
-			if hooks.Metrics != nil {
-				hooks.Metrics.Counter("cache.warm_misses").Add(1)
-			}
-			return nil, 0, false
-		},
-		Store: func(cycle uint64, data []byte) {
-			if hooks.Metrics != nil {
-				hooks.Metrics.Counter("cache.warm_stores").Add(1)
-			}
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			cps := c.warm[prefix]
-			for i := range cps {
-				if cps[i].cycle == cycle {
-					// Determinism makes same-cycle checkpoints
-					// identical; keep the newer bytes regardless.
-					cps[i].data = data
-					c.warm[prefix] = cps
-					return
-				}
-			}
-			if _, known := c.warm[prefix]; !known {
-				c.warmOrder = append(c.warmOrder, prefix)
-				for len(c.warmOrder) > warmKeepPrefixes {
-					delete(c.warm, c.warmOrder[0])
-					c.warmOrder = c.warmOrder[1:]
-				}
-			}
-			cps = append(cps, warmCheckpoint{cycle: cycle, data: data})
-			sort.Slice(cps, func(i, j int) bool { return cps[i].cycle < cps[j].cycle })
-			if len(cps) > warmKeepPerPrefix {
-				cps = cps[len(cps)-warmKeepPerPrefix:]
-			}
-			c.warm[prefix] = cps
-			c.warmStores++
-		},
+	res.CacheStats = &CacheStats{Hit: false, Key: key.String()}
+}
+
+// observe reports one cache lookup to a run's observability hooks: a
+// domain-scope hit/miss event on the "cache" track (cycle 0 — the
+// lookup precedes simulation) and a hit/miss counter.
+func (c *Cache) observe(h obs.Hooks, key cellcache.Key, hit bool) {
+	if t := h.Tracer; t != nil {
+		kind := obs.KindCacheMiss
+		if hit {
+			kind = obs.KindCacheHit
+		}
+		t.Emit(obs.Event{Track: "cache", Kind: kind, Detail: key.String()[:16]})
+	}
+	if m := h.Metrics; m != nil {
+		if hit {
+			m.Counter("cache.hits").Add(1)
+		} else {
+			m.Counter("cache.misses").Add(1)
+		}
 	}
 }

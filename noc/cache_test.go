@@ -3,7 +3,10 @@ package noc
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // withTestFingerprint pins the code-version fingerprint for the test's
@@ -45,14 +48,12 @@ func TestCacheKeyGolden(t *testing.T) {
 		{"packet-I", cellKey(KindPacket, makeConfig(nil), sc).String()},
 		{"tdm-I", cellKey(KindTDM, makeConfig(nil), sc).String()},
 		{"circuit-pattern", cellKey(KindCircuit, makeConfig(nil), pat).String()},
-		{"circuit-warm-prefix", warmPrefixKey(KindCircuit, makeConfig(nil), pat).String()},
 	}
 	want := map[string]string{
-		"circuit-I":           "24cc213b20a4de6eacf8fa27ff8907b8102fea93beaac274fec29ebef74c2d09",
-		"packet-I":            "4f9892cf8ee7402e6249d39ba0698e61c9e1baec288b3494c5b94fae95c970d8",
-		"tdm-I":               "530d8e6cd451c3de6b66ee1c0bcc58880d68a88bfa182436f1d0664f7c7ff197",
-		"circuit-pattern":     "480af403790f62662cfcd15be98c9d010b7c168d0401cc97630d0573562b006d",
-		"circuit-warm-prefix": "21fa946d2fc714cd382cc1c50d320ebf7790f13ed6c3d5c0d88e7aaf58fb10c5",
+		"circuit-I":       "24cc213b20a4de6eacf8fa27ff8907b8102fea93beaac274fec29ebef74c2d09",
+		"packet-I":        "4f9892cf8ee7402e6249d39ba0698e61c9e1baec288b3494c5b94fae95c970d8",
+		"tdm-I":           "530d8e6cd451c3de6b66ee1c0bcc58880d68a88bfa182436f1d0664f7c7ff197",
+		"circuit-pattern": "480af403790f62662cfcd15be98c9d010b7c168d0401cc97630d0573562b006d",
 	}
 	for _, g := range golden {
 		if g.key != want[g.name] {
@@ -175,13 +176,10 @@ func TestResultEnvelopeRoundTrip(t *testing.T) {
 // byte-identically and reports hit/miss through Result.CacheStats.
 func TestFabricRunCached(t *testing.T) {
 	withTestFingerprint(t, "test-fingerprint-run")
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	sc := cacheTestScenario(t)
-	for _, f := range []Fabric{CircuitSwitched(), PacketSwitched(), AetherealTDM()} {
-		f.(cacheSettable).setCache(cache)
+	for _, f := range []Fabric{CircuitSwitched(WithCache(dir)), PacketSwitched(WithCache(dir)),
+		AetherealTDM(WithCache(dir))} {
 		first, err := f.Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", f.Kind(), err)
@@ -208,8 +206,7 @@ func TestFabricRunCached(t *testing.T) {
 }
 
 // cacheSweepSpec is the sweep used by the cold/warm byte-compare: a
-// pattern grid (exercising the warm-start path on the circuit fabric)
-// over all three fabrics, with a replicated axis.
+// pattern grid over all three fabrics.
 func cacheSweepSpec(workers int, dir string) SweepSpec {
 	return SweepSpec{
 		Fabrics: []FabricSpec{{Kind: KindCircuit}, {Kind: KindPacket}, {Kind: KindTDM}},
@@ -313,5 +310,61 @@ func TestSweepCacheReplications(t *testing.T) {
 	}
 	if !bytes.Equal(off.Bytes(), warm.Bytes()) {
 		t.Fatal("replicated cached sweep differs from cache-disabled sweep")
+	}
+}
+
+// TestSweepCacheCountsEachJobOnce: a cold cached sweep looks every job
+// up once and stores it once, and a replay serves every job from the
+// cache without storing anything — at one worker and at eight, with a
+// replicated cell whose replications are jobs of their own.
+func TestSweepCacheCountsEachJobOnce(t *testing.T) {
+	withTestFingerprint(t, "test-fingerprint-counts")
+	ctx := context.Background()
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			dir := t.TempDir()
+			spec := SweepSpec{
+				Scenarios: []Scenario{
+					{Name: "u", Pattern: "uniform", Cycles: 300, MeshWidth: 4, MeshHeight: 4},
+					{Name: "r", Pattern: "transpose", Cycles: 300, MeshWidth: 4, MeshHeight: 4,
+						Replications: 3},
+				},
+				Seed:     11,
+				Workers:  workers,
+				CacheDir: dir,
+			}
+			const jobs = 3 * (1 + 3) // three fabrics × (one plain + three replications)
+			cache, err := OpenCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			spec.Obs.Metrics = reg
+			var cold bytes.Buffer
+			if err := SweepJSON(ctx, spec, &cold); err != nil {
+				t.Fatal(err)
+			}
+			c := cache.Counters()
+			if c.Hits != 0 || c.Misses != jobs || c.Puts != jobs {
+				t.Fatalf("cold sweep counters %+v, want 0 hits, %d misses, %d puts", c, jobs, jobs)
+			}
+			if got := reg.Counter("cache.misses").Value(); got != jobs {
+				t.Fatalf("cold sweep reported %d misses to the registry, want %d", got, jobs)
+			}
+
+			spec.Obs.Metrics = nil
+			var replay bytes.Buffer
+			if err := SweepJSON(ctx, spec, &replay); err != nil {
+				t.Fatal(err)
+			}
+			r := cache.Counters()
+			if r.Hits-c.Hits != jobs || r.Misses != c.Misses || r.Puts != c.Puts {
+				t.Fatalf("replay counters %+v after cold %+v, want %d more hits and no misses or puts",
+					r, c, jobs)
+			}
+			if !bytes.Equal(cold.Bytes(), replay.Bytes()) {
+				t.Fatal("replayed sweep differs from the cold sweep")
+			}
+		})
 	}
 }

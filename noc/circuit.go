@@ -34,9 +34,6 @@ func (f *circuitFabric) String() string {
 // Validate implements Fabric.
 func (f *circuitFabric) Validate() error { return f.cfg.validate(KindCircuit) }
 
-// setCache injects a resolved cache instance (sweep engine, tests).
-func (f *circuitFabric) setCache(c *Cache) { f.cfg.cache = c }
-
 // setObs injects observability hooks (sweep engine): an injected
 // tracer/registry is owned by the injector, so Run leaves export and
 // snapshotting to it.
@@ -64,9 +61,8 @@ func (f *circuitFabric) Run(sc Scenario) (*Result, error) {
 }
 
 // run executes one non-replicated, defaulted, validated scenario.
-func (f *circuitFabric) run(cfg config, cache *Cache, sc Scenario) (*Result, error) {
+func (f *circuitFabric) run(cfg config, sc Scenario) (*Result, error) {
 	if sc.IsPattern() {
-		cfg.cache = cache
 		return runCircuitPattern(cfg, sc)
 	}
 	if sc.IsWorkload() {

@@ -94,7 +94,6 @@ type config struct {
 
 	cacheOn  bool   // content-addressed result cache enabled
 	cacheDir string // cache directory; "" = process-wide in-memory cache
-	cache    *Cache // resolved instance (sweep engine / tests inject it)
 
 	trace     io.Writer // Chrome trace-event JSON destination (WithTrace)
 	metricsOn bool      // collect Result.Metrics (WithMetrics)
@@ -176,21 +175,16 @@ func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n 
 // byte-identically instead of re-simulating. dir persists results on
 // disk across processes; the empty string keeps a process-wide
 // in-memory cache. Caches for the same directory are shared within the
-// process. Circuit-mesh pattern runs additionally exchange warm-start
-// world checkpoints, so runs differing only in length fork from a
-// common prefix. See also SweepSpec.Cache / SweepSpec.CacheDir and the
-// `nocbench -cache` flag.
+// process. Each run is looked up once and, on a miss, stored once. See
+// also SweepSpec.Cache / SweepSpec.CacheDir and the `nocbench -cache`
+// flag.
 func WithCache(dir string) Option {
 	return func(c *config) { c.cacheOn, c.cacheDir = true, dir }
 }
 
-// resolveCache returns the cache instance the config selects: an
-// injected instance first, then the registry instance for the
-// configured directory, else nil (caching off).
+// resolveCache returns the registry instance for the configured
+// directory, or nil when caching is off.
 func (c config) resolveCache() (*Cache, error) {
-	if c.cache != nil {
-		return c.cache, nil
-	}
 	if !c.cacheOn {
 		return nil, nil
 	}

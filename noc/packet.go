@@ -26,9 +26,6 @@ func (f *packetFabric) String() string {
 // Validate implements Fabric.
 func (f *packetFabric) Validate() error { return f.cfg.validate(KindPacket) }
 
-// setCache injects a resolved cache instance (sweep engine, tests).
-func (f *packetFabric) setCache(c *Cache) { f.cfg.cache = c }
-
 // setObs injects observability hooks (sweep engine): an injected
 // tracer/registry is owned by the injector, so Run leaves export and
 // snapshotting to it.
@@ -56,7 +53,7 @@ func (f *packetFabric) Run(sc Scenario) (*Result, error) {
 }
 
 // run executes one non-replicated, defaulted, validated scenario.
-func (f *packetFabric) run(cfg config, _ *Cache, sc Scenario) (*Result, error) {
+func (f *packetFabric) run(cfg config, sc Scenario) (*Result, error) {
 	if sc.IsPattern() {
 		return runPacketPattern(cfg, sc)
 	}

@@ -38,7 +38,6 @@ func runCircuitPattern(cfg config, sc Scenario) (*Result, error) {
 		WarmupCycles:  sc.WarmupCycles,
 		WarmupAuto:    sc.WarmupAuto,
 		RetainLatency: sc.poolLatency,
-		Warm:          cfg.cache.patternWarmHook(KindCircuit, cfg, sc),
 		Obs:           cfg.obs,
 	})
 	if err != nil {

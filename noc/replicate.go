@@ -233,14 +233,14 @@ func aggregateResults(results []*Result) (*Result, error) {
 // carries them all — and aggregates. Sweep parallelizes replications
 // through its worker pool instead of coming through here.
 func runFabric(kind Kind, cfg config, sc Scenario,
-	run func(cfg config, cache *Cache, sc Scenario) (*Result, error)) (*Result, error) {
+	run func(cfg config, sc Scenario) (*Result, error)) (*Result, error) {
 	cache, err := cfg.resolveCache()
 	if err != nil {
 		return nil, err
 	}
 	one := func(cfg config, sc Scenario) (*Result, error) {
 		return cache.runThrough(kind, cfg, sc, func() (*Result, error) {
-			return run(cfg, cache, sc)
+			return run(cfg, sc)
 		})
 	}
 	if sc.Replications > 1 {

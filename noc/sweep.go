@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cellcache"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -216,6 +217,9 @@ func (g Grid) bases() ([]Scenario, error) {
 // order: scenario-major, then mesh size, frequency, load, flip
 // probability and cycle count.
 func (g Grid) expand() ([]Scenario, error) {
+	if err := g.checkPositive(); err != nil {
+		return nil, err
+	}
 	bases, err := g.bases()
 	if err != nil {
 		return nil, err
@@ -258,6 +262,29 @@ func (g Grid) expand() ([]Scenario, error) {
 		out = append(out, scs...)
 	}
 	return out, nil
+}
+
+// checkPositive rejects a non-positive value on the mesh, frequency and
+// cycle axes. The scenario reads zero on these fields as "use the
+// default", so a zero grid value would silently run the default under
+// a "=0" label.
+func (g Grid) checkPositive() error {
+	for _, v := range g.MeshSizes {
+		if v <= 0 {
+			return fmt.Errorf("noc: sweep: grid mesh_sizes value %d is not positive", v)
+		}
+	}
+	for _, v := range g.FreqsMHz {
+		if !(v > 0) {
+			return fmt.Errorf("noc: sweep: grid freqs_mhz value %g is not positive", v)
+		}
+	}
+	for _, v := range g.Cycles {
+		if v <= 0 {
+			return fmt.Errorf("noc: sweep: grid cycles value %d is not positive", v)
+		}
+	}
+	return nil
 }
 
 // expandAxis multiplies the scenario list by one populated axis,
@@ -403,8 +430,7 @@ type SweepProgress struct {
 	CellsDone, CellsTotal int
 	// JobsDone and JobsTotal count completed and total jobs.
 	JobsDone, JobsTotal int
-	// CacheHits counts jobs served from the result cache (pre-dispatch
-	// lookups and fabric-level hits alike).
+	// CacheHits counts jobs served from the result cache.
 	CacheHits int
 	// Errors counts failed cells so far.
 	Errors int
@@ -421,13 +447,6 @@ type monitorAdapter struct{ m SweepMonitor }
 
 func (a monitorAdapter) JobStart(worker, job int) { a.m.JobStart(worker, job) }
 func (a monitorAdapter) JobDone(worker, job int)  { a.m.JobDone(worker, job) }
-
-// cacheSettable lets the sweep engine hand its resolved cache instance
-// to the fabrics it builds, so per-run caching and the sweep's
-// pre-dispatch lookup share one store.
-type cacheSettable interface {
-	setCache(*Cache)
-}
 
 // obsSettable lets the sweep engine inject its observability hooks —
 // the shared trace collector (cell-stamped) and metrics registry — into
@@ -628,8 +647,8 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 	}
 	// jobScenario resolves job i's single-run scenario exactly as the
 	// fabric will see it — replication substitution first, then defaults
-	// — so the pre-dispatch lookup and the fabric-side cache compute
-	// identical keys.
+	// — so its cache key is the one a standalone Fabric.Run of the same
+	// replication computes.
 	jobScenario := func(i int) Scenario {
 		j := jobs[i]
 		sc := cells[j.cell].Scenario
@@ -638,32 +657,26 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 		}
 		return sc.withDefaults()
 	}
-	// lookup consults the Level-1 store before a job is dispatched to
-	// the pool; a hit skips the run entirely. The fabric's own
-	// runThrough stores fresh results, so RunCached's store is nil.
+	// lookup is a job's one cache lookup, made before the job is
+	// dispatched to the pool: a hit skips the run entirely, a miss runs
+	// the fabric without a cache and stores the result under the key
+	// kept here. The engine reports the outcome to the sinks itself.
+	// All lookups finish before the pool starts, so the workers read
+	// keys without locking.
+	var keys []cellcache.Key
+	if cache != nil {
+		keys = make([]cellcache.Key, len(jobs))
+	}
 	lookup := func(i int) (repOut, bool) {
 		if cache == nil {
 			return repOut{}, false
 		}
 		j := jobs[i]
 		fs := cells[j.cell].Fabric
-		cfg := makeConfig(fs.options())
-		key := cellKey(fs.Kind, cfg, jobScenario(i))
-		res, ok := cache.lookupResult(key)
-		if !ok {
-			return repOut{}, false
-		}
-		// A pre-dispatch hit never reaches a fabric, so the engine
-		// reports it to the sinks itself — the honest trace of a run
-		// that was never simulated.
-		if col != nil {
-			col.Emit(obs.Event{Cell: cells[j.cell].Index, Track: "cache",
-				Kind: obs.KindCacheHit, Detail: key.String()[:16]})
-		}
-		if m := spec.Obs.Metrics; m != nil {
-			m.Counter("cache.hits").Add(1)
-		}
-		return repOut{res: res}, true
+		keys[i] = cellKey(fs.Kind, makeConfig(fs.options()), jobScenario(i))
+		res, ok := cache.get(keys[i])
+		cache.observe(cellHooks(j.cell), keys[i], ok)
+		return repOut{res: res}, ok
 	}
 	// Streaming per-cell fold state: replications arrive consecutively
 	// and in order, so one accumulator suffices. The progress counters
@@ -697,11 +710,6 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 			if err != nil {
 				return repOut{errText: err.Error()}, nil
 			}
-			if cache != nil {
-				if cs, ok := f.(cacheSettable); ok {
-					cs.setCache(cache)
-				}
-			}
 			if h := cellHooks(j.cell); h.Tracer != nil || h.Metrics != nil {
 				if os, ok := f.(obsSettable); ok {
 					os.setObs(h)
@@ -720,9 +728,11 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 				}
 				return repOut{errText: err.Error()}, nil
 			}
+			if cache != nil {
+				cache.put(keys[i], res)
+			}
 			return repOut{res: res}, nil
 		},
-		nil,
 		func(i int, out repOut, err error) error {
 			if err != nil {
 				return err
@@ -774,6 +784,10 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 		})
 	if err != nil {
 		return err
+	}
+	if cache != nil {
+		// The store's lifetime gauges, read once every put is in.
+		cache.store.MetricsInto(spec.Obs.Metrics)
 	}
 	if col != nil {
 		if err := obs.WriteChrome(spec.Obs.Trace, col.Events()); err != nil {

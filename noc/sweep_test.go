@@ -218,6 +218,35 @@ func TestSweepSpecValidation(t *testing.T) {
 	}
 }
 
+// TestGridRejectsNonPositiveAxes: a zero or negative mesh size, clock or
+// cycle count is an error naming the axis, not a silent default.
+func TestGridRejectsNonPositiveAxes(t *testing.T) {
+	cases := []struct {
+		name string
+		grid Grid
+		axis string
+	}{
+		{"zero mesh", Grid{Patterns: []string{"uniform"}, MeshSizes: []int{4, 0}}, "mesh_sizes"},
+		{"negative mesh", Grid{Workloads: []string{"drm"}, MeshSizes: []int{-4}}, "mesh_sizes"},
+		{"zero freq", Grid{Scenarios: []string{"I"}, FreqsMHz: []float64{0}}, "freqs_mhz"},
+		{"negative freq", Grid{Patterns: []string{"uniform"}, FreqsMHz: []float64{25, -25}}, "freqs_mhz"},
+		{"zero cycles", Grid{Scenarios: []string{"I"}, Cycles: []int{0}}, "cycles"},
+		{"negative cycles", Grid{Patterns: []string{"uniform"}, Cycles: []int{-100}}, "cycles"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			grid := tc.grid
+			err := SweepSpec{Grid: &grid}.Validate()
+			if err == nil {
+				t.Fatal("grid accepted")
+			}
+			if !strings.Contains(err.Error(), tc.axis) {
+				t.Fatalf("error %q does not name the %s axis", err, tc.axis)
+			}
+		})
+	}
+}
+
 func TestSweepGridExpansion(t *testing.T) {
 	spec := SweepSpec{
 		Fabrics: []FabricSpec{{Kind: KindCircuit}},

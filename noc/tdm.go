@@ -29,9 +29,6 @@ func (f *tdmFabric) String() string {
 // Validate implements Fabric.
 func (f *tdmFabric) Validate() error { return f.cfg.validate(KindTDM) }
 
-// setCache injects a resolved cache instance (sweep engine, tests).
-func (f *tdmFabric) setCache(c *Cache) { f.cfg.cache = c }
-
 // setObs injects observability hooks (sweep engine): an injected
 // tracer/registry is owned by the injector, so Run leaves export and
 // snapshotting to it.
@@ -62,7 +59,7 @@ func (f *tdmFabric) Run(sc Scenario) (*Result, error) {
 }
 
 // run executes one non-replicated, defaulted, validated scenario.
-func (f *tdmFabric) run(cfg config, _ *Cache, sc Scenario) (*Result, error) {
+func (f *tdmFabric) run(cfg config, sc Scenario) (*Result, error) {
 	if sc.IsPattern() {
 		return runTDMPattern(cfg, sc)
 	}
