@@ -31,9 +31,9 @@ bench:
 	go test -bench . -benchtime 1x -run '^$$' ./...
 
 # bench-json runs the gating 1x pass plus the measured kernel, event,
-# pattern and sweep passes, then folds the combined text into the
-# canonical BENCH_ci.json (cmd/benchdiff -parse keeps the
-# best-measured line per benchmark). Gated benchmarks whose single-shot
+# pattern, port-flow projection and sweep passes, then folds the
+# combined text into the canonical BENCH_ci.json (cmd/benchdiff -parse
+# keeps the best-measured line per benchmark). Gated benchmarks whose single-shot
 # spread approaches their gate threshold run with -count so the
 # best-of-N line wins — the 2% tracer-nil pair gate in particular needs
 # the sub-30ms pair measured more than once. Every pass runs with
@@ -47,6 +47,7 @@ bench-json:
 	go test -bench 'FiniteWorkload|BEBurst' -benchtime 50x -benchmem -run '^$$' . | tee -a bench.txt
 	go test -bench 'Pattern16|PatternSource' -benchtime 5x -benchmem -run '^$$' . | tee -a bench.txt
 	go test -bench 'PatternSource' -benchtime 5x -count 6 -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'PortFlows' -benchtime 20x -benchmem -run '^$$' ./internal/pattern | tee -a bench.txt
 	go test -bench 'Sweep(Single|Replicated)' -benchtime 20x -count 4 -benchmem -run '^$$' . | tee -a bench.txt
 	go test -bench 'SweepOverlap' -benchtime 5x -benchmem -run '^$$' . | tee -a bench.txt
 	go test -bench 'Hotspot(16x16|64x64)' -benchtime 2x -benchmem -run '^$$' . | tee -a bench.txt

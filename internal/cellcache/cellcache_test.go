@@ -2,8 +2,10 @@ package cellcache
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -84,6 +86,70 @@ func TestDiskRoundTripAndPromotion(t *testing.T) {
 	}
 	if v, ok := s2.Get(k); !ok || string(v) != "persisted" {
 		t.Fatalf("memory hit after promotion got %q ok=%v", v, ok)
+	}
+}
+
+// TestConcurrentDirStore runs overlapping Put/Get traffic on a directory
+// store small enough to evict, so lookups fall through to disk while
+// other goroutines write the same keys. Every goroutine reads back each
+// shared key right after its own Put (a hit: memory or a complete disk
+// file) and probes a key nobody stores (a miss), so the counters are
+// exact; a fresh store over the directory then reads every payload back.
+func TestConcurrentDirStore(t *testing.T) {
+	const workers, keys = 8, 24
+	dir := t.TempDir()
+	s, err := NewDir(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) Key { return KeyOf([]byte(fmt.Sprintf("shared-%d", i))) }
+	payload := func(i int) []byte { return []byte(fmt.Sprintf("payload-%d", i)) }
+	var wg sync.WaitGroup
+	errs := make(chan string, workers*keys)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < keys; j++ {
+				i := (j + 3*g) % keys // overlapping key sets, staggered
+				s.Put(key(i), payload(i))
+				if v, ok := s.Get(key(i)); !ok || !bytes.Equal(v, payload(i)) {
+					errs <- fmt.Sprintf("worker %d key %d: got %q ok=%v", g, i, v, ok)
+				}
+				if _, ok := s.Get(KeyOf([]byte(fmt.Sprintf("absent-%d-%d", g, j)))); ok {
+					errs <- fmt.Sprintf("worker %d: hit on a key never stored", g)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	want := Stats{Hits: workers * keys, Misses: workers * keys, Puts: workers * keys}
+	if st := s.Stats(); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+	if s.lru.Len() != len(s.mem) || len(s.mem) > 4 {
+		t.Errorf("LRU holds %d entries, index %d, capacity 4", s.lru.Len(), len(s.mem))
+	}
+
+	fresh, err := NewDir(dir, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		if v, ok := fresh.Get(key(i)); !ok || !bytes.Equal(v, payload(i)) {
+			t.Errorf("fresh store key %d: got %q ok=%v", i, v, ok)
+		}
+	}
+	if st := fresh.Stats(); st != (Stats{Hits: keys}) {
+		t.Errorf("fresh store stats %+v, want %d hits", st, keys)
+	}
+	tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if len(tmps) != 0 {
+		t.Errorf("temp files left behind: %v", tmps)
 	}
 }
 

@@ -163,24 +163,34 @@ func PortTowards(a, b Coord) (core.Port, error) {
 
 // XYPath returns the dimension-ordered (X first, then Y) route between two
 // coordinates, inclusive of both endpoints.
-func XYPath(from, to Coord) []Coord {
-	path := []Coord{from}
+func XYPath(from, to Coord) []Coord { return appendRoute(nil, from, to, true) }
+
+// appendRoute appends the dimension-ordered route from→to, inclusive of
+// both endpoints, to path: X first then Y when xFirst is set, Y first
+// then X otherwise.
+func appendRoute(path []Coord, from, to Coord, xFirst bool) []Coord {
+	path = append(path, from)
 	c := from
-	for c.X != to.X {
-		if to.X > c.X {
-			c.X++
+	for leg := 0; leg < 2; leg++ {
+		if (leg == 0) == xFirst {
+			for c.X != to.X {
+				if to.X > c.X {
+					c.X++
+				} else {
+					c.X--
+				}
+				path = append(path, c)
+			}
 		} else {
-			c.X--
+			for c.Y != to.Y {
+				if to.Y > c.Y {
+					c.Y++
+				} else {
+					c.Y--
+				}
+				path = append(path, c)
+			}
 		}
-		path = append(path, c)
-	}
-	for c.Y != to.Y {
-		if to.Y > c.Y {
-			c.Y++
-		} else {
-			c.Y--
-		}
-		path = append(path, c)
 	}
 	return path
 }

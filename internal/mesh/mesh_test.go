@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -80,6 +81,27 @@ func TestXYPath(t *testing.T) {
 	}
 	if got := XYPath(Coord{1, 1}, Coord{1, 1}); len(got) != 1 {
 		t.Fatalf("self path = %v", got)
+	}
+}
+
+// TestYXRoute checks the Y-first route against its definition: the XY
+// path to the corner (from.X, to.Y), then the XY path on to the
+// destination. Reusing a buffer must not change either route.
+func TestYXRoute(t *testing.T) {
+	var buf []Coord
+	for _, a := range []Coord{{0, 0}, {3, 1}, {2, 4}} {
+		for _, b := range []Coord{{0, 0}, {4, 4}, {1, 3}, {3, 0}} {
+			mid := Coord{X: a.X, Y: b.Y}
+			want := append(XYPath(a, mid), XYPath(mid, b)[1:]...)
+			buf = appendRoute(buf[:0], a, b, false)
+			if !reflect.DeepEqual(buf, want) {
+				t.Errorf("YX %v->%v = %v, want %v", a, b, buf, want)
+			}
+			buf = appendRoute(buf[:0], a, b, true)
+			if xy := XYPath(a, b); !reflect.DeepEqual(buf, xy) {
+				t.Errorf("reused XY %v->%v = %v, want %v", a, b, buf, xy)
+			}
+		}
 	}
 }
 

@@ -170,6 +170,26 @@ type laneAlloc struct {
 	probes  *obs.Counter
 	rejects *obs.Counter
 	hops    *obs.Histogram
+
+	// Scratch reused across probes, so routing a flow allocates nothing:
+	// the candidate route, and tryRoute's reservations and circuit
+	// segments.
+	route    []Coord
+	reserved []reservation
+	segs     []seg
+}
+
+// reservation is one lane tryRoute holds while it probes a route.
+type reservation struct {
+	node int
+	lane int // global output lane, or -1 for a tile input
+	tin  int
+}
+
+// seg is one router's circuit along a probed route.
+type seg struct {
+	node Coord
+	circ core.Circuit
 }
 
 func newLaneAlloc(m *Mesh, metrics *obs.Registry) *laneAlloc {
@@ -212,9 +232,10 @@ func (a *laneAlloc) establish(src, dst Coord) (*core.TxConverter, *core.RxConver
 		}
 		return nil, nil, 0, fmt.Errorf("mesh: no free tile output lane at %v", dst)
 	}
-	routes := [][]Coord{XYPath(src, dst), yxPath(src, dst)}
 	var lastErr error
-	for _, route := range routes {
+	for _, xFirst := range [2]bool{true, false} {
+		a.route = appendRoute(a.route[:0], src, dst, xFirst)
+		route := a.route
 		if a.probes != nil {
 			a.probes.Add(1)
 		}
@@ -233,25 +254,12 @@ func (a *laneAlloc) establish(src, dst Coord) (*core.TxConverter, *core.RxConver
 	return nil, nil, 0, lastErr
 }
 
-// yxPath is the Y-then-X alternative to XYPath.
-func yxPath(from, to Coord) []Coord {
-	mid := Coord{X: from.X, Y: to.Y}
-	path := XYPath(from, mid)
-	rest := XYPath(mid, to)
-	return append(path, rest[1:]...)
-}
-
 // tryRoute reserves one free lane on every hop of the route and
 // configures the circuits; on failure nothing is reserved.
 func (a *laneAlloc) tryRoute(route []Coord) (*core.TxConverter, *core.RxConverter, error) {
-	type reservation struct {
-		node int
-		lane int // global output lane, or -1 for a tile input
-		tin  int
-	}
-	var reserved []reservation
+	a.reserved, a.segs = a.reserved[:0], a.segs[:0]
 	release := func() {
-		for _, r := range reserved {
+		for _, r := range a.reserved {
 			if r.lane >= 0 {
 				a.used[r.node][r.lane] = false
 			} else {
@@ -268,13 +276,8 @@ func (a *laneAlloc) tryRoute(route []Coord) (*core.TxConverter, *core.RxConverte
 		return nil, nil, fmt.Errorf("mesh: no free tile input lane at %v", route[0])
 	}
 	a.tileIn[srcIdx][tin] = true
-	reserved = append(reserved, reservation{node: srcIdx, lane: -1, tin: tin})
+	a.reserved = append(a.reserved, reservation{node: srcIdx, lane: -1, tin: tin})
 
-	type seg struct {
-		node Coord
-		circ core.Circuit
-	}
-	var segs []seg
 	inLane := core.LaneID{Port: core.Tile, Lane: tin}
 	for h := 0; h < len(route)-1; h++ {
 		node, next := route[h], route[h+1]
@@ -290,8 +293,8 @@ func (a *laneAlloc) tryRoute(route []Coord) (*core.TxConverter, *core.RxConverte
 		}
 		gl := p.Global(core.LaneID{Port: outPort, Lane: l})
 		a.used[a.idx(node)][gl] = true
-		reserved = append(reserved, reservation{node: a.idx(node), lane: gl})
-		segs = append(segs, seg{node: node, circ: core.Circuit{
+		a.reserved = append(a.reserved, reservation{node: a.idx(node), lane: gl})
+		a.segs = append(a.segs, seg{node: node, circ: core.Circuit{
 			In:  inLane,
 			Out: core.LaneID{Port: outPort, Lane: l},
 		}})
@@ -306,14 +309,14 @@ func (a *laneAlloc) tryRoute(route []Coord) (*core.TxConverter, *core.RxConverte
 	}
 	gl := p.Global(core.LaneID{Port: core.Tile, Lane: l})
 	a.used[a.idx(dstC)][gl] = true
-	reserved = append(reserved, reservation{node: a.idx(dstC), lane: gl})
-	segs = append(segs, seg{node: dstC, circ: core.Circuit{
+	a.reserved = append(a.reserved, reservation{node: a.idx(dstC), lane: gl})
+	a.segs = append(a.segs, seg{node: dstC, circ: core.Circuit{
 		In:  inLane,
 		Out: core.LaneID{Port: core.Tile, Lane: l},
 	}})
 
 	// Configure the routers and enable the endpoint converters.
-	for i, s := range segs {
+	for i, s := range a.segs {
 		asm := a.m.At(s.node)
 		if err := asm.R.Configure(s.circ); err != nil {
 			release()
@@ -322,7 +325,7 @@ func (a *laneAlloc) tryRoute(route []Coord) (*core.TxConverter, *core.RxConverte
 		if i == 0 && s.circ.In.Port == core.Tile {
 			asm.Tx[s.circ.In.Lane].Enabled = true
 		}
-		if i == len(segs)-1 && s.circ.Out.Port == core.Tile {
+		if i == len(a.segs)-1 && s.circ.Out.Port == core.Tile {
 			asm.Rx[s.circ.Out.Lane].Enabled = true
 		}
 	}

@@ -18,7 +18,6 @@ package pattern
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -196,24 +195,24 @@ func permTable(n int, seed uint64) []int {
 	return p
 }
 
-// neighbours returns the mesh neighbours of a node in a fixed
+// neighbours returns the k mesh neighbours of a node, nb[:k], in a fixed
 // (north, east, south, west) order.
-func neighbours(src, w, h int) []int {
+func neighbours(src, w, h int) (nb [4]int, k int) {
 	x, y := src%w, src/w
-	var out []int
+	add := func(d int) { nb[k] = d; k++ }
 	if y > 0 {
-		out = append(out, (y-1)*w+x)
+		add((y-1)*w + x)
 	}
 	if x+1 < w {
-		out = append(out, y*w+x+1)
+		add(y*w + x + 1)
 	}
 	if y+1 < h {
-		out = append(out, (y+1)*w+x)
+		add((y+1)*w + x)
 	}
 	if x > 0 {
-		out = append(out, y*w+x-1)
+		add(y*w + x - 1)
 	}
-	return out
+	return nb, k
 }
 
 // Flow is one source→destination traffic relation on the mesh, in node
@@ -270,8 +269,8 @@ func (sp Spatial) Draw(rng *bitvec.XorShift64, src, w, h int) int {
 		}
 		return drawOther(rng, src, n)
 	case Neighbour:
-		nb := neighbours(src, w, h)
-		return nb[rng.Intn(len(nb))]
+		nb, k := neighbours(src, w, h)
+		return nb[rng.Intn(k)]
 	case Permutation:
 		// The per-word draw of a permutation is its fixed table entry;
 		// callers that need it should use Flows. Fall back to uniform so
@@ -297,51 +296,75 @@ func drawOther(rng *bitvec.XorShift64, self, n int) int {
 
 // ProbWeights returns the destination probability distribution of words
 // injected at src — the analytic counterpart of Draw, used to project a
-// pattern onto a single observed router. The map only contains non-zero
-// entries and sums to 1 (or is empty for a fixed point of a
-// deterministic pattern).
+// pattern onto a single observed router. The map holds every destination
+// the pattern can address and sums to 1 (or is empty for a fixed point of
+// a deterministic pattern); only hotspot:1 lists zero-weight entries, its
+// non-hotspot destinations.
 func (sp Spatial) ProbWeights(src, w, h int, seed uint64) map[int]float64 {
-	n := w * h
+	pw := sp.pairWeights(w, h, seed)
 	out := map[int]float64{}
-	switch sp.Kind {
-	case Uniform:
-		for d := 0; d < n; d++ {
-			if d != src {
-				out[d] = 1 / float64(n-1)
-			}
-		}
-	case Hotspot:
-		hot := HotspotNode(w, h)
-		a := sp.alpha()
-		if src == hot {
-			a = 0
-		}
-		for d := 0; d < n; d++ {
-			if d == src {
-				continue
-			}
-			p := (1 - a) / float64(n-1)
-			if d == hot {
-				p += a
-			}
+	for d := 0; d < w*h; d++ {
+		if p, ok := pw.weight(src, d); ok {
 			out[d] = p
-		}
-	case Neighbour:
-		nb := neighbours(src, w, h)
-		for _, d := range nb {
-			out[d] += 1 / float64(len(nb))
-		}
-	case Permutation:
-		d := permTable(n, seed)[src]
-		if d != src {
-			out[d] = 1
-		}
-	default:
-		if d := sp.fixedDest(src, w, h); d >= 0 {
-			out[d] = 1
 		}
 	}
 	return out
+}
+
+// pairWeights evaluates a pattern's destination probabilities one
+// (src, dst) pair at a time. It is the single definition behind both
+// ProbWeights and PortFlows, so the analytic reference and the projection
+// cannot drift apart.
+type pairWeights struct {
+	sp        Spatial
+	w, h, hot int
+	perm      []int // Permutation only
+}
+
+// pairWeights prepares the per-pair evaluator for a W×H mesh; the
+// permutation table, when the pattern needs one, is built here once.
+func (sp Spatial) pairWeights(w, h int, seed uint64) pairWeights {
+	pw := pairWeights{sp: sp, w: w, h: h, hot: HotspotNode(w, h)}
+	if sp.Kind == Permutation {
+		pw.perm = permTable(w*h, seed)
+	}
+	return pw
+}
+
+// weight returns the probability that a word injected at src is destined
+// for dst, and whether ProbWeights lists dst at all.
+func (pw *pairWeights) weight(src, dst int) (float64, bool) {
+	if src == dst {
+		return 0, false
+	}
+	w, h := pw.w, pw.h
+	n := w * h
+	switch pw.sp.Kind {
+	case Uniform:
+		return 1 / float64(n-1), true
+	case Hotspot:
+		a := pw.sp.alpha()
+		if src == pw.hot {
+			a = 0
+		}
+		p := (1 - a) / float64(n-1)
+		if dst == pw.hot {
+			p += a
+		}
+		return p, true
+	case Neighbour:
+		nb, k := neighbours(src, w, h)
+		for _, d := range nb[:k] {
+			if d == dst {
+				return 1 / float64(k), true
+			}
+		}
+		return 0, false
+	case Permutation:
+		return 1, pw.perm[src] == dst
+	default:
+		return 1, pw.sp.fixedDest(src, w, h) == dst
+	}
 }
 
 // PortFlow is one aggregated input-port→output-port traffic relation at
@@ -356,6 +379,9 @@ type PortFlow struct {
 	Weight float64
 }
 
+// numPorts is the number of router ports, core.Tile through core.West.
+const numPorts = int(core.West) + 1
+
 // PortFlows projects the spatial pattern onto the single router at
 // observed node obs: every source→destination relation is XY-routed
 // across the W×H mesh, and relations whose route crosses obs contribute
@@ -365,43 +391,55 @@ type PortFlow struct {
 // single-router models, and the projection computes the traffic matrix
 // such a router would see at that position in the mesh. Flows are
 // returned in a fixed port-major order.
+//
+// Only pairs whose XY route can cross obs = (ox, oy) are visited: a
+// source on row oy may reach obs on its X leg, so it is paired with every
+// destination; any other source can only reach obs on the Y leg, so it is
+// paired with the H destinations of column ox. That is O(W·H·(W+H))
+// work. The pairs are visited in ascending (source, destination) order
+// and each adds the same per-pair weight ProbWeights reports, so every
+// port-pair sum is the float sum of all crossing relations in that
+// order, bit for bit; the skipped pairs never crossed obs.
 func PortFlows(sp Spatial, w, h, obs int, seed uint64) []PortFlow {
-	n := w * h
-	acc := map[[2]core.Port]float64{}
-	for src := 0; src < n; src++ {
-		ws := sp.ProbWeights(src, w, h, seed)
-		// Accumulate in sorted destination order: distinct destinations can
-		// fold into the same port pair, and float addition is not
-		// associative, so ranging the map directly would make the low bits
-		// of the flow weights depend on iteration order.
-		dsts := make([]int, 0, len(ws))
-		for dst := range ws {
-			dsts = append(dsts, dst)
+	if obs < 0 || obs >= w*h {
+		return []PortFlow{} // no route crosses a node off the mesh
+	}
+	pw := sp.pairWeights(w, h, seed)
+	ox, oy := obs%w, obs/w
+	var acc [numPorts][numPorts]float64
+	var touched [numPorts][numPorts]bool
+	add := func(src, dst int) {
+		p, ok := pw.weight(src, dst)
+		if !ok {
+			return
 		}
-		sort.Ints(dsts)
-		for _, dst := range dsts {
-			in, out, ok := portsThrough(src, dst, obs, w)
-			if !ok {
-				continue
+		in, out, ok := portsThrough(src, dst, obs, w)
+		if !ok {
+			return
+		}
+		acc[in][out] += p
+		touched[in][out] = true
+	}
+	for src := 0; src < w*h; src++ {
+		if src/w == oy {
+			for dst := 0; dst < w*h; dst++ {
+				add(src, dst)
 			}
-			acc[[2]core.Port{in, out}] += ws[dst]
+			continue
+		}
+		for dy := 0; dy < h; dy++ {
+			add(src, dy*w+ox)
 		}
 	}
-	keys := make([][2]core.Port, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	flows := make([]PortFlow, 0, numPorts*numPorts)
+	for in := range touched {
+		for out := range touched[in] {
+			if touched[in][out] {
+				flows = append(flows, PortFlow{In: core.Port(in), Out: core.Port(out), Weight: acc[in][out]})
+			}
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]PortFlow, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, PortFlow{In: k[0], Out: k[1], Weight: acc[k]})
 	}
-	return out
+	return flows
 }
 
 // portsThrough XY-routes src→dst (X first, then Y) and reports the entry

@@ -1,8 +1,10 @@
 package pattern
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -194,31 +196,171 @@ func TestProbWeightsSumToOne(t *testing.T) {
 	}
 }
 
+// allSpatials lists every spatial kind, hotspot at two fractions.
+var allSpatials = []Spatial{
+	{Kind: Uniform}, {Kind: Transpose}, {Kind: BitComplement}, {Kind: BitReverse},
+	{Kind: Hotspot, Alpha: 0.5}, {Kind: Hotspot, Alpha: 0.8},
+	{Kind: Neighbour}, {Kind: Permutation},
+}
+
 func TestPortFlowsConservation(t *testing.T) {
 	// Total weight through all routers' tile-exit ports must equal the
 	// total injected weight: every word is injected once and ejected
 	// once somewhere.
-	const w, h = 4, 4
-	for _, sp := range []Spatial{{Kind: Uniform}, {Kind: Hotspot}, {Kind: Transpose}} {
-		injected, ejected := 0.0, 0.0
-		for obs := 0; obs < w*h; obs++ {
-			for _, f := range PortFlows(sp, w, h, obs, 1) {
-				if f.In == core.Tile {
-					injected += f.Weight
+	for _, m := range [][2]int{{4, 4}, {5, 3}} {
+		w, h := m[0], m[1]
+		for _, sp := range allSpatials {
+			injected, ejected := 0.0, 0.0
+			for obs := 0; obs < w*h; obs++ {
+				for _, f := range PortFlows(sp, w, h, obs, 1) {
+					if f.In == core.Tile {
+						injected += f.Weight
+					}
+					if f.Out == core.Tile {
+						ejected += f.Weight
+					}
 				}
-				if f.Out == core.Tile {
-					ejected += f.Weight
+			}
+			want := 0.0
+			for src := 0; src < w*h; src++ {
+				for _, p := range sp.ProbWeights(src, w, h, 1) {
+					want += p
+				}
+			}
+			if want == 0 {
+				t.Errorf("%v on %dx%d: pattern carries no traffic", sp, w, h)
+			}
+			if math.Abs(injected-want) > 1e-9 || math.Abs(ejected-want) > 1e-9 {
+				t.Errorf("%v on %dx%d: injected %.6f ejected %.6f want %.6f", sp, w, h, injected, ejected, want)
+			}
+		}
+	}
+}
+
+// portFlowsReference is the direct O(N²) projection: every source's full
+// ProbWeights distribution, each relation XY-routed, summed per port pair
+// in ascending (source, destination) order. PortFlows must reproduce it
+// bit for bit.
+func portFlowsReference(sp Spatial, w, h, obs int, seed uint64) []PortFlow {
+	n := w * h
+	acc := map[[2]core.Port]float64{}
+	for src := 0; src < n; src++ {
+		ws := sp.ProbWeights(src, w, h, seed)
+		dsts := make([]int, 0, len(ws))
+		for dst := range ws {
+			dsts = append(dsts, dst)
+		}
+		sort.Ints(dsts)
+		for _, dst := range dsts {
+			in, out, ok := portsThrough(src, dst, obs, w)
+			if !ok {
+				continue
+			}
+			acc[[2]core.Port{in, out}] += ws[dst]
+		}
+	}
+	keys := make([][2]core.Port, 0, len(acc))
+	for k := range acc {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	out := make([]PortFlow, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, PortFlow{In: k[0], Out: k[1], Weight: acc[k]})
+	}
+	return out
+}
+
+// TestPortFlowsMatchesReference pins the route-restricted projection to
+// the direct one: the same port pairs in the same order, with weights
+// equal to the last bit.
+func TestPortFlowsMatchesReference(t *testing.T) {
+	for _, m := range [][2]int{{2, 2}, {3, 5}, {5, 3}, {7, 4}, {8, 8}, {16, 16}} {
+		w, h := m[0], m[1]
+		var nodes []int
+		if w*h <= 64 {
+			for obs := 0; obs < w*h; obs++ {
+				nodes = append(nodes, obs)
+			}
+		} else {
+			// Corners, edge midpoints and centre.
+			for _, xy := range [][2]int{
+				{0, 0}, {w - 1, 0}, {0, h - 1}, {w - 1, h - 1},
+				{w / 2, 0}, {w / 2, h - 1}, {0, h / 2}, {w - 1, h / 2},
+				{w / 2, h / 2},
+			} {
+				nodes = append(nodes, xy[1]*w+xy[0])
+			}
+		}
+		for _, sp := range allSpatials {
+			for _, seed := range []uint64{1, 3, 0xdeadbeef} {
+				for _, obs := range nodes {
+					got := PortFlows(sp, w, h, obs, seed)
+					want := portFlowsReference(sp, w, h, obs, seed)
+					if msg := diffPortFlows(got, want); msg != "" {
+						t.Fatalf("%v %dx%d obs %d seed %#x: %s", sp, w, h, obs, seed, msg)
+					}
 				}
 			}
 		}
-		want := 0.0
-		for src := 0; src < w*h; src++ {
-			for _, p := range sp.ProbWeights(src, w, h, 1) {
-				want += p
-			}
+	}
+}
+
+// diffPortFlows describes the first difference between two projections
+// ("" when they agree bit for bit).
+func diffPortFlows(got, want []PortFlow) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d flows, want %d: %v vs %v", len(got), len(want), got, want)
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.In != w.In || g.Out != w.Out || math.Float64bits(g.Weight) != math.Float64bits(w.Weight) {
+			return fmt.Sprintf("flow %d = %v->%v %x, want %v->%v %x",
+				i, g.In, g.Out, math.Float64bits(g.Weight), w.In, w.Out, math.Float64bits(w.Weight))
 		}
-		if math.Abs(injected-want) > 1e-9 || math.Abs(ejected-want) > 1e-9 {
-			t.Errorf("%v: injected %.6f ejected %.6f want %.6f", sp, injected, ejected, want)
+	}
+	return ""
+}
+
+// TestPortFlowsOffMesh checks that an observed node off the mesh sees no
+// traffic.
+func TestPortFlowsOffMesh(t *testing.T) {
+	for _, obs := range []int{-1, -5, 16, 40} {
+		if got := PortFlows(Spatial{Kind: Uniform}, 4, 4, obs, 1); len(got) != 0 {
+			t.Errorf("obs %d: %v", obs, got)
+		}
+	}
+}
+
+// TestPortFlowsAllocs guards the projection's allocation profile: a
+// constant handful per call, independent of the mesh size (no per-source
+// maps or slices).
+func TestPortFlowsAllocs(t *testing.T) {
+	for _, n := range []int{8, 48} {
+		sp := Spatial{Kind: Uniform}
+		obs := HotspotNode(n, n)
+		allocs := testing.AllocsPerRun(3, func() { PortFlows(sp, n, n, obs, 1) })
+		if allocs > 3 {
+			t.Errorf("PortFlows %dx%d uniform: %.0f allocs per call, want <= 3", n, n, allocs)
+		}
+	}
+}
+
+func BenchmarkPortFlows(b *testing.B) {
+	for _, n := range []int{32, 48} {
+		for _, sp := range []Spatial{{Kind: Uniform}, {Kind: Hotspot}} {
+			b.Run(fmt.Sprintf("%s_%dx%d", sp, n, n), func(b *testing.B) {
+				obs := HotspotNode(n, n)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					PortFlows(sp, n, n, obs, 1)
+				}
+			})
 		}
 	}
 }
